@@ -22,6 +22,7 @@ still O(degree) work confined to the update's neighborhood.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable
+from functools import lru_cache
 
 from repro.graph.graph import Graph
 from repro.patterns.labels import WILDCARD
@@ -45,6 +46,7 @@ def node_in_signature(graph: Graph, node_id: str) -> set[NeighborPair]:
     }
 
 
+@lru_cache(maxsize=4096)
 def pattern_requirements(
     pattern: Pattern, variable: str
 ) -> tuple[tuple[NeighborPair, ...], tuple[NeighborPair, ...]]:
@@ -53,6 +55,8 @@ def pattern_requirements(
     Each requirement is a ``(edge label, neighbor label)`` pair, either
     of which may be :data:`WILDCARD`; a candidate node must carry an
     admitting pair in the corresponding direction for every requirement.
+    Memoized per (pattern, variable): patterns are immutable, and the
+    streaming delta kernel probes the same pair for every pinned node.
     """
     out_reqs = tuple(
         (edge_label, pattern.label_of(target)) for edge_label, target in pattern.out_edges(variable)

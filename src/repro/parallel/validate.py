@@ -57,7 +57,12 @@ from repro.graph.graph import Graph
 from repro.indexing.registry import get_index
 from repro.matching.homomorphism import find_homomorphisms
 from repro.matching.locality import pivot_radius, split_local_pivots
-from repro.reasoning.validation import Violation, evaluate_match, x_literal_restrictions
+from repro.reasoning.validation import (
+    Violation,
+    evaluate_match,
+    x_literal_restrictions,
+    x_literal_restrictions_keyed,
+)
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import slowlog as _slowlog
 from repro.telemetry.spans import span
@@ -205,13 +210,8 @@ def _run_sigma_batch(
     queries: list[SigmaQuery] = []
     members: list[list[int]] = []
     for position, ged in enumerate(sigma):
-        restrict = x_literal_restrictions(graph, ged)
-        key = (
-            ged.pattern,
-            None
-            if restrict is None
-            else frozenset((var, frozenset(pool)) for var, pool in restrict.items()),
-        )
+        restrict, restrict_key = x_literal_restrictions_keyed(graph, ged)
+        key = (ged.pattern, restrict_key)
         group = group_index.get(key)
         if group is None:
             group = group_index[key] = len(queries)

@@ -114,20 +114,58 @@ def x_literal_restrictions(graph: Graph, ged: GED) -> dict[str, set[str]] | None
     preserved exactly.  Returns ``None`` when no index is attached or no
     literal is indexable (unhashable-valued attributes report "unknown"
     and impose nothing).
+
+    **The pools are read-only live views.**  A variable with one
+    indexable literal gets the index's own posting set, not a copy, so
+    the call costs O(|X|) however long the posting lists are; a variable
+    with several gets their intersection, smallest set first.  A pool
+    is valid until the graph's next mutation (index maintenance edits
+    posting sets in place) and must never be mutated by the caller —
+    intersect into a new set instead (``pool & other``).
+    """
+    return x_literal_restrictions_keyed(graph, ged)[0]
+
+
+def x_literal_restrictions_keyed(
+    graph: Graph, ged: GED
+) -> "tuple[dict[str, set[str]] | None, frozenset | None]":
+    """:func:`x_literal_restrictions` plus a hashable key for the pools.
+
+    The key is the set of contributing ``(var, attr, const)`` literals —
+    O(|X|) to build, independent of the posting lists' sizes.  On one
+    graph state equal keys imply equal pools (the index answers equal
+    literals from the same posting list), so the key can stand in for
+    the pools wherever restrictions are grouped or memoized; ``None``
+    exactly when the restriction is ``None``.  Different literals whose
+    pools happen to coincide get different keys, which only forgoes
+    sharing.
     """
     index = get_index(graph)
     if index is None:
-        return None
-    restrict: dict[str, set[str]] = {}
+        return None, None
+    postings: dict[str, list[set[str]]] = {}
+    contributing: list[tuple] = []
     for literal in ged.X:
         if not isinstance(literal, ConstantLiteral):
             continue
         pool = index.nodes_with_attr_value(literal.attr, literal.const)
         if pool is None:
             continue
-        current = restrict.get(literal.var)
-        restrict[literal.var] = set(pool) if current is None else current & pool
-    return restrict or None
+        postings.setdefault(literal.var, []).append(pool)
+        contributing.append((literal.var, literal.attr, literal.const))
+    if not postings:
+        return None, None
+    restrict: dict[str, set[str]] = {}
+    for var, pools in postings.items():
+        if len(pools) == 1:
+            restrict[var] = pools[0]
+            continue
+        pools.sort(key=len)
+        current = pools[0] & pools[1]
+        for pool in pools[2:]:
+            current &= pool
+        restrict[var] = current
+    return restrict, frozenset(contributing)
 
 
 def find_violations(
@@ -195,13 +233,8 @@ def _sigma_find_violations(graph: Graph, sigma: "list[GED]") -> list[Violation]:
     queries: list[SigmaQuery] = []
     members: list[list[int]] = []  # query position -> rule positions
     for position, ged in enumerate(sigma):
-        restrict = x_literal_restrictions(graph, ged)
-        key = (
-            ged.pattern,
-            None
-            if restrict is None
-            else frozenset((var, frozenset(pool)) for var, pool in restrict.items()),
-        )
+        restrict, restrict_key = x_literal_restrictions_keyed(graph, ged)
+        key = (ged.pattern, restrict_key)
         group = group_index.get(key)
         if group is None:
             group = group_index[key] = len(queries)

@@ -6,9 +6,12 @@ greeting, and then multiplexes the connection between request/response
 traffic (``subscribe`` → ``bootstrap``, ``update`` → ``ack``/``error``)
 and the asynchronous push stream (``delta`` / ``resync`` / ``bootstrap``
 re-bases / ``bye``).  A background reader task routes each incoming
-frame: ``ack`` and non-fatal ``error`` frames resolve the oldest
-pending request, everything else lands on the event queue read by
-:meth:`events` / :meth:`next_event`.
+frame: the ``hello`` greeting resolves one shared future, ``ack`` and
+non-fatal ``error`` frames resolve the oldest pending request, and
+everything else lands on the event queue read by :meth:`events` /
+:meth:`next_event`.  Requests may be pipelined: any number of
+concurrent :meth:`send_update` calls on a fresh client all wait on the
+same greeting.
 
 The CLI ``subscribe`` subcommand and the load harness are thin wrappers
 over this class; ``examples/live_monitoring.py`` shows the intended
@@ -59,6 +62,7 @@ class ServeClient:
         self.hello: dict[str, Any] | None = None
         self._events: asyncio.Queue = asyncio.Queue()
         self._pending: deque[asyncio.Future] = deque()
+        self._hello: asyncio.Future | None = None
         self._task: asyncio.Task | None = None
         self.closed = False
 
@@ -81,15 +85,29 @@ class ServeClient:
         it which framing to speak, so the ``hello`` greeting is consumed
         lazily (:meth:`_ensure_hello`) after the first frame is written
         rather than here — reading it at connect time would deadlock.
+        The reader task resolves one ``hello`` future with the first
+        frame, which every waiter shares.
         """
-        self._task = asyncio.get_running_loop().create_task(self._route())
+        loop = asyncio.get_running_loop()
+        self._hello = loop.create_future()
+        # Retrieve a failure nobody awaited, so asyncio does not log it.
+        self._hello.add_done_callback(lambda f: f.cancelled() or f.exception())
+        self._task = loop.create_task(self._route())
 
     async def _ensure_hello(self) -> None:
         if self.hello is None:
-            frame = await self._events.get()
-            if frame.get("type") != "hello":
-                raise ProtocolError(f"expected hello, got {frame.get('type')!r}")
-            self.hello = frame
+            # Shielded: one cancelled waiter must not cancel the greeting
+            # the others still wait on.
+            self.hello = await asyncio.shield(self._hello)
+
+    def _greet(self, frame: dict[str, Any]) -> None:
+        """Resolve the ``hello`` future from the connection's first frame."""
+        if frame.get("type") == "hello":
+            self._hello.set_result(frame)
+        else:
+            self._hello.set_exception(
+                ProtocolError(f"expected hello, got {frame.get('type')!r}")
+            )
 
     async def _route(self) -> None:
         """The reader task: dispatch responses, queue pushed events."""
@@ -98,6 +116,10 @@ class ServeClient:
                 frame = await read_frame(self._reader, self.framing)
                 if frame is None:
                     break
+                if not self._hello.done():
+                    self._greet(frame)
+                    if frame["type"] == "hello":
+                        continue
                 if frame["type"] in _RESPONSE_TYPES and self._pending:
                     future = self._pending.popleft()
                     if not future.done():
@@ -110,6 +132,8 @@ class ServeClient:
             pass
         finally:
             self.closed = True
+            if not self._hello.done():
+                self._greet({"type": "bye"})
             await self._events.put({"type": "bye", "reason": "connection closed"})
             for future in self._pending:
                 if not future.done():

@@ -22,11 +22,18 @@ hands the matcher whole-graph candidate pools.  Each pin searches only a
   (:meth:`~repro.indexing.pruning.CandidatePruner.admissible`), and the
   X-literal restriction pools of
   :func:`~repro.reasoning.validation.x_literal_restrictions` shrink the
-  search further.
+  search further.  Those pools are the index's posting sets as
+  read-only live views (no copy); intersecting one into a ball pool
+  walks the smaller operand, normally the ball.
 
 All of these are necessary conditions, so the kernel finds exactly the
 violations whose match meets the touched set — work proportional to the
-update's neighborhood, not to |G|.
+update's neighborhood, not to |G|.  With an index attached the per-batch
+cost no longer scales with posting-list size either: a variable with
+one constant literal costs O(1) per dependency (no copy, and the memo
+key below is built from the literals), and only a variable with
+several literals pays an intersection, bounded by its smallest
+posting list.
 
 Each pin runs the plan executor **view-free** over its ball pools
 (:func:`~repro.matching.plan.execute_over_pools`): the compiled pattern
@@ -43,9 +50,13 @@ pinned variable, pinned node) under a given restriction — repeat
 across dependencies verbatim.  The kernel memoizes each stream the
 first time it is enumerated and replays it for every later dependency
 sharing the skeleton, skipping the ball construction and the plan walk
-entirely (``matching.sigma.stream_reuse`` counts the replays).
-Per-dependency de-duplication applies after replay, so reported
-violations are untouched.
+entirely (``matching.sigma.stream_reuse`` counts the replays).  The
+restriction enters the memo key as its contributing ``(var, attr,
+const)`` literals
+(:func:`~repro.reasoning.validation.x_literal_restrictions_keyed`),
+not the pools' contents: on one graph state equal literals select
+equal pools.  Per-dependency de-duplication applies after replay, so
+reported violations are untouched.
 """
 
 from __future__ import annotations
@@ -61,7 +72,7 @@ from repro.patterns.labels import WILDCARD, matches
 from repro.reasoning.validation import (
     Violation,
     evaluate_match,
-    x_literal_restrictions,
+    x_literal_restrictions_keyed,
 )
 from repro.telemetry import metrics as _metrics
 
@@ -74,13 +85,6 @@ def _label_pool(graph: Graph, label: str) -> set[str]:
     if label == WILDCARD:
         return set(graph.node_ids)
     return graph.nodes_with_label(label)
-
-
-def _restrict_token(restrict: dict[str, set[str]] | None):
-    """A hashable identity for a restriction mapping (stream memo key)."""
-    if restrict is None:
-        return None
-    return frozenset((var, frozenset(pool)) for var, pool in restrict.items())
 
 
 def delta_violations(
@@ -120,21 +124,21 @@ def delta_violations(
 
     for dep_index, ged in enumerate(sigma):
         pattern = ged.pattern
-        restrict = x_literal_restrictions(graph, ged)
-        restrict_token = _restrict_token(restrict)
+        restrict, restrict_key = x_literal_restrictions_keyed(graph, ged)
         distances = pattern_distances(pattern)
+        variable_labels = [(v, pattern.label_of(v)) for v in pattern.variables]
         # Label pools for variables in *other* components, shared by
         # every pin of this dependency.
         free_pools: dict[str, set[str]] = {}
         seen: set[tuple[tuple[str, str], ...]] = set()
         for node_id in live:
             node_label = graph.node(node_id).label
-            for variable in pattern.variables:
-                if not matches(pattern.label_of(variable), node_label):
+            for variable, variable_label in variable_labels:
+                if not matches(variable_label, node_label):
                     continue
                 if pruner is not None and not pruner.admissible(pattern, variable, node_id):
                     continue
-                stream_key = (pattern, variable, node_id, restrict_token)
+                stream_key = (pattern, variable, node_id, restrict_key)
                 stream = streams.get(stream_key)
                 if stream is None:
                     levels = balls.get(node_id)
@@ -142,11 +146,10 @@ def delta_violations(
                         levels = balls[node_id] = ball_levels(graph, node_id, radius)
                     reachable = distances[variable]
                     pools: dict[str, set[str]] = {}
-                    for other in pattern.variables:
+                    for other, label in variable_labels:
                         if other == variable:
                             pools[other] = {node_id}
                             continue
-                        label = pattern.label_of(other)
                         distance = reachable.get(other)
                         if distance is None:  # different component: label pool
                             pool = free_pools.get(other)

@@ -175,3 +175,124 @@ class TestBoundedFacade:
         ged = GED(q, [], [ConstantLiteral("x", "A", 1)])
         assert satisfiable_bounded([ged], k=2)
         assert implies_bounded([ged], ged, k=2)
+
+
+class TestXLiteralRestrictions:
+    """The index-backed restriction pools and their literal key."""
+
+    @staticmethod
+    def scored_graph():
+        builder = GraphBuilder()
+        for n, (score, region) in enumerate([(3, 1), (3, 2), (1, 1), (3, 1), (2, 2)]):
+            builder.node(f"i{n}", "item", score=score, region=region)
+            builder.node(f"u{n}", "user", region=region)
+            builder.edge(f"u{n}", "buys", f"i{n}")
+        return builder.build()
+
+    @staticmethod
+    def buys_rule(*x, name=None):
+        return GED(
+            Pattern({"u": "user", "i": "item"}, [("u", "buys", "i")]),
+            list(x),
+            [VariableLiteral("u", "region", "i", "region")],
+            name=name,
+        )
+
+    def test_no_index_means_no_restriction(self):
+        from repro.reasoning.validation import (
+            x_literal_restrictions,
+            x_literal_restrictions_keyed,
+        )
+
+        rule = self.buys_rule(ConstantLiteral("i", "score", 3))
+        graph = self.scored_graph()
+        assert x_literal_restrictions(graph, rule) is None
+        assert x_literal_restrictions_keyed(graph, rule) == (None, None)
+
+    def test_single_literal_pool_is_the_posting_set(self):
+        from repro.indexing import attach_index
+        from repro.reasoning.validation import x_literal_restrictions
+
+        graph = self.scored_graph()
+        index = attach_index(graph)
+        restrict = x_literal_restrictions(graph, self.buys_rule(ConstantLiteral("i", "score", 3)))
+        assert restrict["i"] is index.nodes_with_attr_value("score", 3)
+        assert restrict["i"] == {"i0", "i1", "i3"}
+
+    def test_several_literals_intersect_without_touching_postings(self):
+        from repro.indexing import attach_index
+        from repro.reasoning.validation import x_literal_restrictions
+
+        graph = self.scored_graph()
+        index = attach_index(graph)
+        before = index.snapshot()
+        rule = self.buys_rule(
+            ConstantLiteral("i", "score", 3),
+            ConstantLiteral("i", "region", 1),
+            ConstantLiteral("u", "region", 1),
+        )
+        restrict = x_literal_restrictions(graph, rule)
+        assert restrict["i"] == {"i0", "i3"}
+        assert restrict["i"] is not index.nodes_with_attr_value("score", 3)
+        assert restrict["i"] is not index.nodes_with_attr_value("region", 1)
+        assert restrict["u"] is index.nodes_with_attr_value("region", 1)
+        assert index.snapshot() == before
+
+    def test_key_is_the_contributing_literals(self):
+        from repro.indexing import attach_index
+        from repro.reasoning.validation import x_literal_restrictions_keyed
+
+        graph = self.scored_graph()
+        attach_index(graph)
+        score = ConstantLiteral("i", "score", 3)
+        region = ConstantLiteral("i", "region", 1)
+        restrict, key = x_literal_restrictions_keyed(graph, self.buys_rule(score, region))
+        assert key == frozenset({("i", "score", 3), ("i", "region", 1)})
+        # Same literals, another rule: the same key (and equal pools).
+        other, other_key = x_literal_restrictions_keyed(
+            graph, self.buys_rule(region, score, name="copy")
+        )
+        assert other_key == key and other == restrict
+        # Different literals with equal (empty) pools keep distinct keys:
+        # that forgoes sharing, never changes output.
+        empty_a = x_literal_restrictions_keyed(
+            graph, self.buys_rule(ConstantLiteral("i", "score", 9))
+        )
+        empty_b = x_literal_restrictions_keyed(
+            graph, self.buys_rule(ConstantLiteral("i", "region", 9))
+        )
+        assert empty_a[0] == empty_b[0] == {"i": set()}
+        assert empty_a[1] != empty_b[1]
+        # Variable literals contribute nothing: no restriction, no key.
+        assert x_literal_restrictions_keyed(graph, self.buys_rule()) == (None, None)
+
+    def test_unindexable_literal_contributes_nothing(self):
+        from repro.indexing import attach_index
+        from repro.reasoning.validation import x_literal_restrictions_keyed
+
+        graph = self.scored_graph()
+        graph.set_attribute("i4", "tags", ["a"])  # unhashable: attribute unindexable
+        attach_index(graph)
+        rule = self.buys_rule(ConstantLiteral("i", "tags", "a"), ConstantLiteral("i", "score", 3))
+        restrict, key = x_literal_restrictions_keyed(graph, rule)
+        assert key == frozenset({("i", "score", 3)})
+        assert restrict == {"i": {"i0", "i1", "i3"}}
+
+    def test_sigma_scan_groups_by_literals_identically_with_and_without_index(self):
+        from repro.indexing import attach_index
+
+        score, region = ConstantLiteral("i", "score", 3), ConstantLiteral("i", "region", 1)
+        sigma = [
+            self.buys_rule(score, name="a"),
+            self.buys_rule(score, region, name="b"),
+            self.buys_rule(region, score, name="c"),
+            self.buys_rule(ConstantLiteral("i", "score", 9), name="d"),
+            self.buys_rule(ConstantLiteral("i", "region", 9), name="e"),
+        ]
+        graph = self.scored_graph()
+        graph.set_attribute("u0", "region", 2)
+        graph.set_attribute("u3", "region", 5)
+        plain = find_violations(graph, sigma)
+        attach_index(graph)
+        assert find_violations(graph, sigma) == plain
+        assert {v.ged.name for v in plain} == {"a", "b", "c"}

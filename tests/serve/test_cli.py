@@ -6,6 +6,7 @@ as a second subprocess consuming the push stream; the publisher drives
 both through :class:`~repro.serve.client.ServeClient` in-process.
 """
 
+import http.client
 import json
 import os
 import pathlib
@@ -71,6 +72,23 @@ def publish(port: int, updates) -> list[dict]:
     return asyncio.run(run())
 
 
+def wait_for_subscribers(port: int, count: int, timeout: float = 10.0) -> None:
+    """Poll ``GET /healthz`` until the server reports ``count`` attached
+    subscribers; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while True:
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
+        try:
+            connection.request("GET", "/healthz")
+            health = json.loads(connection.getresponse().read())
+        finally:
+            connection.close()
+        if health["subscribers"] == count:
+            return
+        assert time.monotonic() < deadline, f"{count} subscriber(s) never attached: {health}"
+        time.sleep(0.02)
+
+
 def start_serve(args) -> tuple[subprocess.Popen, dict]:
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", *args],
@@ -107,7 +125,7 @@ class TestServeSubscribeEndToEnd:
                 text=True,
                 env=subprocess_env(),
             )
-            time.sleep(0.5)  # let the subscriber attach before publishing
+            wait_for_subscribers(port, 1)
 
             acks = publish(
                 port,

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.deps import GED, ConstantLiteral, VariableLiteral
 from repro.graph.update import GraphUpdate
 from repro.indexing import attach_index, get_index
+from repro.patterns import Pattern
 from repro.reasoning import find_violations
 from repro.streaming import (
     EngineDeltaExecutor,
@@ -23,7 +25,7 @@ from repro.streaming import (
     canonical_report,
     violation_to_dict,
 )
-from repro.workloads import churn_stream, social_churn_stream
+from repro.workloads import bounded_rule_set, churn_stream, social_churn_stream
 
 
 def ndjson(violations):
@@ -34,6 +36,58 @@ def assert_ledger_equals_full(ledger, graph, sigma):
     maintained = ndjson(ledger.violations())
     recomputed = ndjson(canonical_report(sigma, find_violations(graph, sigma)))
     assert maintained == recomputed
+
+
+def multi_literal_rules():
+    """Rules over the churn workload whose X restrictions take every
+    branch of the indexed restriction: two and three constant literals
+    on one variable (the intersection), literal sets that differ but
+    whose pools coincide (``grade`` mirrors ``score`` on the base graph;
+    ``score = 7`` and ``region = 9`` are both empty), a literal that
+    differs from a bounded rule's only in its constant, and a rule that
+    shares its X with a bounded rule but not its Y."""
+    buys = Pattern({"u": "user", "i": "item"}, [("u", "buys", "i")])
+    sells = Pattern({"s": "shop", "i": "item"}, [("s", "sells", "i")])
+    item = Pattern({"i": "item"})
+    same_region = VariableLiteral("u", "region", "i", "region")
+    return bounded_rule_set() + [
+        GED(
+            buys,
+            [ConstantLiteral("i", "score", 3), ConstantLiteral("i", "region", 1)],
+            [same_region],
+            name="two-literals",
+        ),
+        GED(
+            buys,
+            [
+                ConstantLiteral("i", "score", 2),
+                ConstantLiteral("i", "region", 2),
+                ConstantLiteral("i", "grade", 2),
+                ConstantLiteral("u", "score", 1),
+            ],
+            [ConstantLiteral("u", "region", 2)],
+            name="three-literals-and-a-buyer-literal",
+        ),
+        GED(buys, [ConstantLiteral("i", "grade", 3)], [same_region], name="grade-mirror"),
+        GED(item, [ConstantLiteral("i", "score", 7)], [ConstantLiteral("i", "region", 1)],
+            name="empty-score-pool"),
+        GED(item, [ConstantLiteral("i", "region", 9)], [ConstantLiteral("i", "region", 1)],
+            name="empty-region-pool"),
+        GED(item, [ConstantLiteral("i", "score", 2)], [ConstantLiteral("i", "region", 1)],
+            name="other-constant"),
+        GED(sells, [ConstantLiteral("s", "region", 1)], [ConstantLiteral("i", "region", 2)],
+            name="shared-x-other-y"),
+    ]
+
+
+def with_grade_mirror(graph):
+    """Copy every node's ``score`` into ``grade`` (the churn stream never
+    touches ``grade``, so the two pools start equal and then drift)."""
+    for node_id in sorted(graph.node_ids):
+        node = graph.node(node_id)
+        if node.has_attribute("score"):
+            graph.set_attribute(node_id, "grade", node.get("score"))
+    return graph
 
 
 class TestSerialProperty:
@@ -58,6 +112,35 @@ class TestSerialProperty:
             if indexed:
                 assert get_index(graph) is not None, "index must stay synced"
         assert_ledger_equals_full(ledger, graph, stream.sigma)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000), st.booleans())
+    def test_multi_literal_rules_equal_full_revalidation(self, seed, indexed):
+        """The property for rules whose indexed restriction intersects
+        several posting lists, or whose differing literals select equal
+        pools — the cases the literal-keyed stream memo must keep apart
+        or share without changing the output."""
+        stream = churn_stream(
+            n_nodes=random.Random(seed).randint(20, 60),
+            batches=8,
+            batch_size=6,
+            rng=seed,
+        )
+        sigma = multi_literal_rules()
+        graph = with_grade_mirror(stream.base.copy())
+        if indexed:
+            attach_index(graph)
+        ledger = ViolationLedger(graph, sigma)
+        ledger.bootstrap()
+        for update in stream.updates:
+            ledger.refresh(update)
+            if indexed:
+                assert get_index(graph) is not None, "index must stay synced"
+        # Checked against an unindexed copy, so the reference does not
+        # share the restriction code under test.
+        reference = graph.copy()
+        assert get_index(reference) is None
+        assert_ledger_equals_full(ledger, reference, sigma)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=100_000))
