@@ -17,9 +17,10 @@ compatibility wrapper over the plan-compiled core of
 :mod:`repro.matching.plan`: patterns are compiled once per (graph,
 version, index-attachment) into a :class:`~repro.matching.plan.MatchPlan`
 over an interned CSR :class:`~repro.matching.view.GraphView`, and every
-call executes the cached plan.  Calls that bring their own candidate
-pools (the streaming delta kernel's pattern-radius balls) run the same
-executor view-free over those pools.  Either way the yielded stream —
+call walks the cached plan's chain.  Calls that bring their own
+candidate pools (the streaming delta kernel's pattern-radius balls)
+walk the same chain over those pools, taking adjacency rows from the
+graph itself instead of a view.  Either way the yielded stream —
 ``dict[variable, node_id]`` matches, deterministic order — is byte-
 identical to the historical recursive enumerator, which is preserved
 below as :func:`seed_find_homomorphisms` (the differential-test oracle
@@ -69,7 +70,8 @@ def find_homomorphisms(
         result for exactly this (pattern, graph) pair, as produced by a
         caller that scopes the search itself (the streaming delta
         kernel's pattern-radius balls).  The mapping is not mutated,
-        and the search runs view-free over exactly these pools.
+        and the search walks exactly these pools, with adjacency rows
+        from the graph itself (no view build).
     """
     from repro.matching.plan import compile_plan, execute_over_pools
 

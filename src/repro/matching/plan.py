@@ -5,22 +5,24 @@ scratch, ``sorted(candidates[variable])`` inside every backtracking
 frame, successor-set copies for every edge check.  This module splits
 that work into three reusable layers:
 
-* a **pattern program** — per variable-order step list (scan /
-  extend-forward / extend-backward / edge-check / self-loop-check),
-  memoized per ``(pattern, order)`` since patterns are immutable and
-  shared across dependencies;
+* a **frame program** — per variable-order chain of steps
+  (:class:`PlanStep`: scan / extend-forward / extend-backward /
+  edge-check / self-loop-check), memoized per ``(pattern, order)``
+  since patterns are immutable and shared across dependencies;
 * a **:class:`MatchPlan`** — the program bound to one
   :class:`~repro.matching.view.GraphView`: candidate pools materialized
   once as sorted interned slot tuples (plus frozensets for C-speed
   intersection), the default variable order chosen by the cost model,
   and per-step cost estimates for ``explain``;
-* an **iterative executor** (:func:`_execute`) — an explicit-stack
-  enumerator whose per-depth candidates come from intersecting the
-  variable's pool with the adjacency rows of already-bound neighbors
-  (smallest operand first), instead of scanning the pool and probing
-  every edge per candidate.
+* the **walker** (:func:`_walk`) — an explicit-stack enumerator over a
+  forest of steps whose per-frame candidates (:func:`_frame`) come
+  from intersecting the step's pool with the adjacency rows of
+  already-bound neighbors (smallest operand first), instead of
+  scanning the pool and probing every edge per candidate.  A solo plan
+  is a one-leaf chain; :mod:`repro.matching.sigma_dag` runs a whole
+  dependency set as one trie through the same walker.
 
-**Byte-identity.**  The executor yields exactly the seed matcher's
+**Byte-identity.**  The walker yields exactly the seed matcher's
 stream: canonical interning makes ascending slot order equal ascending
 node-id order, the variable order is the same cost ranking the seed
 used (candidate cardinality, then pattern degree, then name — see
@@ -45,11 +47,11 @@ from the *effective* pool sizes — a cheap O(k²) pass — while reusing
 the expensive artifacts (interning, CSR rows, materialized pools).
 ``restrict`` is the plan vocabulary's **attr-filter** step: the
 validation layer derives those pools from X-literals via the attribute
-inverted index and the executor intersects them in before the search.
+inverted index and the walker intersects them in before the search.
 
-:func:`execute_over_pools` is the view-free twin for callers that bring
+:func:`execute_over_pools` walks the same chain for callers that bring
 their own candidate pools over a *mutating* graph (the streaming delta
-kernel's pattern-radius balls): same program cache, same executor, but
+kernel's pattern-radius balls): only the row provider differs —
 adjacency rows come straight from the graph's internal per-label sets,
 so no O(|G|) view build is paid per batch.
 """
@@ -58,7 +60,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.errors import PatternError
@@ -77,55 +78,82 @@ _EMPTY: tuple = ()
 
 
 # ----------------------------------------------------------------------
-# Pattern programs (graph-independent, memoized per (pattern, order))
+# Frame programs (graph-independent; a solo chain is memoized per
+# (pattern, order))
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeCheck:
-    """One membership probe against a bound variable's adjacency row.
-
-    The candidate for this step must lie in the ``out_dir`` row (True =
-    successors, False = predecessors) of the image bound at stack depth
-    ``depth``.  ``label=None`` is the wildcard row.  ``via`` names the
-    bound variable (explain output only).
-    """
-
-    out_dir: bool
-    label: str | None
-    depth: int
-    via: str
-
-
-@dataclass(frozen=True)
 class PlanStep:
-    """One executor step: bind ``variable`` at its depth.
+    """One frame of a frame program: bind ``variable`` at ``depth``.
 
-    ``checks`` empty — a **scan** over the variable's pool;
-    ``checks`` non-empty — an **extend** (forward and/or backward): the
-    pool is intersected with every check's adjacency row.
-    ``self_loops`` lists the labels of ``(v, ι, v)`` pattern edges,
-    verified per candidate against its own successor row.
+    ``checks`` empty — a **scan** over the step's pool; ``checks``
+    non-empty — an **extend** (forward and/or backward): the pool is
+    intersected with the adjacency row named by every ``(out_dir,
+    label, depth)`` check — the successors (``out_dir``) or predecessors
+    of the image bound at ``depth``, ``label=None`` being the wildcard
+    row.  ``self_loops`` lists the labels of ``(v, ι, v)`` pattern
+    edges, verified per candidate against its own successor row.
+
+    Steps form a forest: ``children`` are expanded under every image
+    bound here, ``completions`` maps a binding order to the leaves (match
+    streams) complete once this step is bound, and ``leaf_ids`` lists
+    every leaf whose path runs through the step.  ``idx`` indexes the
+    per-run pools.  A solo plan is a one-leaf chain
+    (:func:`_steps_for`); a Σ-DAG is a trie of many
+    (:mod:`repro.matching.sigma_dag`).
     """
 
-    variable: str
-    checks: tuple[EdgeCheck, ...]
-    self_loops: tuple[str | None, ...]
+    __slots__ = (
+        "idx",
+        "depth",
+        "variable",
+        "checks",
+        "self_loops",
+        "children",
+        "completions",
+        "leaf_ids",
+    )
+
+    def __init__(self, idx, depth, variable, checks, self_loops):
+        self.idx = idx
+        self.depth = depth
+        self.variable = variable
+        self.checks: tuple[tuple[bool, str | None, int], ...] = checks
+        self.self_loops: tuple[str | None, ...] = self_loops
+        self.children: list[PlanStep] = []
+        self.completions: dict[tuple[str, ...], list[int]] = {}
+        self.leaf_ids: list[int] = []
 
     @property
     def kind(self) -> str:
         return "extend" if self.checks else "scan"
 
 
+class FrameProgram:
+    """What the walker executes: ``roots`` of a step forest, every step
+    by ``idx`` in ``nodes``, each leaf's step path in ``leaf_paths``,
+    the leaves actually present in ``live``, and ``width`` — the number
+    of binding depths."""
+
+    __slots__ = ("roots", "nodes", "leaf_paths", "live", "width")
+
+    def __init__(self, roots, nodes, leaf_paths, live, width):
+        self.roots = roots
+        self.nodes = nodes
+        self.leaf_paths = leaf_paths
+        self.live = live
+        self.width = width
+
+
 @lru_cache(maxsize=4096)
-def _steps_for(pattern: Pattern, order: tuple[str, ...]) -> tuple[PlanStep, ...]:
-    """The step list for one binding order (cached — this is the plan
-    cache the streaming delta kernel hits once per dependency, not once
-    per pinned node)."""
+def _steps_for(pattern: Pattern, order: tuple[str, ...]) -> FrameProgram:
+    """The one-leaf chain for one binding order (cached — this is the
+    program cache the streaming delta kernel hits once per dependency,
+    not once per pinned node)."""
     depth_of = {variable: depth for depth, variable in enumerate(order)}
     steps: list[PlanStep] = []
     for depth, variable in enumerate(order):
-        checks: list[EdgeCheck] = []
+        checks: list[tuple[bool, str | None, int]] = []
         loops: list[str | None] = []
         for label, target in pattern.out_edges(variable):
             wire = None if label == WILDCARD else label
@@ -133,165 +161,241 @@ def _steps_for(pattern: Pattern, order: tuple[str, ...]) -> tuple[PlanStep, ...]
                 loops.append(wire)
             elif depth_of[target] < depth:
                 # Edge v -> t with t bound: candidate ∈ pred(image_t).
-                checks.append(EdgeCheck(False, wire, depth_of[target], target))
+                checks.append((False, wire, depth_of[target]))
         for label, source in pattern.in_edges(variable):
             if source == variable:
                 continue  # self-loop already covered via out_edges
             if depth_of[source] < depth:
                 # Edge s -> v with s bound: candidate ∈ succ(image_s).
                 wire = None if label == WILDCARD else label
-                checks.append(EdgeCheck(True, wire, depth_of[source], source))
-        steps.append(PlanStep(variable, tuple(checks), tuple(loops)))
-    return tuple(steps)
+                checks.append((True, wire, depth_of[source]))
+        step = PlanStep(depth, depth, variable, tuple(checks), tuple(loops))
+        step.leaf_ids.append(0)
+        if steps:
+            steps[-1].children.append(step)
+        steps.append(step)
+    steps[-1].completions[order] = [0]
+    return FrameProgram(steps[:1], tuple(steps), (tuple(range(len(steps))),), (0,), len(steps))
 
 
 # ----------------------------------------------------------------------
-# The iterative executor (shared by view mode and pool mode)
+# The walker (every match stream: solo plans, pool mode, Σ-DAGs)
 # ----------------------------------------------------------------------
 
 
-class _ExecObserver:
-    """Per-run execution accounting, created only when telemetry is on.
+class _Observer:
+    """Per-run frame accounting, created only when telemetry is on.
 
     Accumulates locally (plain ints and one local histogram — no sink
     traffic inside the enumeration) and flushes once per run: global
     counters ``plan.frames_expanded`` / ``plan.candidates_produced`` /
-    ``plan.intersections``, the ``plan.frame_candidates`` size
-    histogram, and — for view-bound plans — the plan's own ``observed``
-    per-variable totals that :meth:`MatchPlan.explain` renders next to
-    its estimates.
+    ``plan.intersections`` and the ``plan.frame_candidates`` size
+    histogram for every run; the ``matching.sigma.*`` counters for a
+    Σ-DAG walk (``sigma=True``); and the per-step ``observed`` totals
+    ``explain`` renders into ``target`` — keyed by variable for a plan,
+    by trie node for a Σ-DAG.
+
+    ``frames_saved`` counts, for every expanded frame, the leaves that
+    did *not* have to expand it themselves: a frame at a step merged
+    across *m* rules stands in for *m* per-rule frames but was expanded
+    once, saving ``m - 1``.
     """
 
-    __slots__ = ("per_var", "sizes", "target", "_counts", "_bounds")
+    __slots__ = ("per_step", "sizes", "target", "sigma", "_counts", "_bounds")
 
-    def __init__(self, target: dict | None = None):
-        self.per_var: dict[str, list[int]] = {}
+    def __init__(self, target: dict | None = None, sigma: bool = False):
+        self.per_step: dict[PlanStep, list[int]] = {}
         self.sizes = _metrics.Histogram(_metrics.DEFAULT_BOUNDS)
         self.target = target
+        self.sigma = sigma
         # Hot-path locals: only the bucket increment happens per frame;
-        # the histogram's sum/count are derivable from the per-variable
+        # the histogram's sum/count are derivable from the per-step
         # totals and patched in at flush time.
         self._counts = self.sizes.counts
         self._bounds = self.sizes.bounds
 
-    def frame(self, variable: str, produced: int, probes: int) -> None:
-        entry = self.per_var.get(variable)
+    def frame(self, step: PlanStep, produced: int, probes: int) -> None:
+        entry = self.per_step.get(step)
         if entry is None:
-            entry = self.per_var[variable] = [0, 0, 0]
-        entry[0] += 1
-        entry[1] += produced
-        entry[2] += probes
+            self.per_step[step] = [1, produced, probes]
+        else:
+            entry[0] += 1
+            entry[1] += produced
+            entry[2] += probes
         self._counts[bisect_left(self._bounds, produced)] += 1
 
     def flush(self, sink) -> None:
-        per_var = self.per_var
-        if not per_var:
+        per_step = self.per_step
+        if not per_step:
             return
-        frames = sum(entry[0] for entry in per_var.values())
-        produced = sum(e[1] for e in per_var.values())
+        frames = produced = probes = saved = 0
+        for step, (expanded, made, probed) in per_step.items():
+            frames += expanded
+            produced += made
+            probes += probed
+            saved += expanded * (len(step.leaf_ids) - 1)
         sink.incr("plan.frames_expanded", frames)
         sink.incr("plan.candidates_produced", produced)
-        sink.incr("plan.intersections", sum(e[2] for e in per_var.values()))
+        sink.incr("plan.intersections", probes)
         self.sizes.count = frames
         self.sizes.sum = produced
         sink.merge_histogram("plan.frame_candidates", self.sizes)
-        if self.target is not None:
-            for variable, entry in per_var.items():
-                totals = self.target.get(variable)
+        if self.sigma:
+            sink.incr("matching.sigma.frames_expanded", frames)
+            sink.incr("matching.sigma.frames_saved", saved)
+            sink.incr("matching.sigma.candidates_produced", produced)
+            sink.incr("matching.sigma.intersections", probes)
+        target = self.target
+        if target is not None:
+            for step, entry in per_step.items():
+                key = step.idx if self.sigma else step.variable
+                totals = target.get(key)
                 if totals is None:
-                    self.target[variable] = list(entry)
+                    target[key] = list(entry)
                 else:
                     totals[0] += entry[0]
                     totals[1] += entry[1]
                     totals[2] += entry[2]
 
 
-def _execute(order, steps, pools_sorted, pools_set, row_set, to_id, limit, observer=None):
-    """Enumerate matches with an explicit stack.
+def _frame(step, pools_sorted, pools_set, row_set, assign, observer):
+    """The ascending candidate images of one frame.
 
-    ``pools_sorted`` / ``pools_set`` hold each variable's effective
-    candidate pool (ascending sequence + set); ``row_set(out_dir,
-    label, image)`` returns an adjacency row as a set; ``to_id`` maps
-    executor-space images back to node-id strings.  Yields matches in
-    ascending lexicographic order of the binding order — the seed
-    matcher's exact stream.
+    ``pools_sorted[step.idx]`` / ``pools_set[step.idx]`` hold the step's
+    candidate pool for this run (ascending sequence + set); ``row_set
+    (out_dir, label, image)`` returns an adjacency row as a set; images
+    bound above are read from ``assign``.  An extend intersects the
+    pool with every check's row, smallest operand first.
     """
-    k = len(order)
-    last = k - 1
-    emitted = 0
-    assign = [0] * k
-
-    def candidates_at(depth: int):
-        step = steps[depth]
-        checks = step.checks
-        if checks:
-            operands = [pools_set[step.variable]]
-            for check in checks:
-                row = row_set(check.out_dir, check.label, assign[check.depth])
-                if not row:
-                    if observer is not None:
-                        # len(operands) == adjacency rows probed so far
-                        # (the pool slot stands in for the failing row).
-                        observer.frame(step.variable, 0, len(operands))
-                    return _EMPTY
-                operands.append(row)
-            operands.sort(key=len)
-            found = operands[0].intersection(*operands[1:])
-            if step.self_loops:
-                loops = step.self_loops
-                found = [
-                    image
-                    for image in found
-                    if all(image in row_set(True, wire, image) for wire in loops)
-                ]
-            result = sorted(found)
-            if observer is not None:
-                observer.frame(step.variable, len(result), len(checks))
-            return result
-        pool = pools_sorted[step.variable]
+    checks = step.checks
+    if checks:
+        operands = [pools_set[step.idx]]
+        for out_dir, label, depth in checks:
+            row = row_set(out_dir, label, assign[depth])
+            if not row:
+                if observer is not None:
+                    # len(operands) == adjacency rows probed so far
+                    # (the pool slot stands in for the failing row).
+                    observer.frame(step, 0, len(operands))
+                return _EMPTY
+            operands.append(row)
+        operands.sort(key=len)
+        found = operands[0].intersection(*operands[1:])
         if step.self_loops:
             loops = step.self_loops
-            result = [
+            found = [
                 image
-                for image in pool
+                for image in found
                 if all(image in row_set(True, wire, image) for wire in loops)
             ]
-            if observer is not None:
-                observer.frame(step.variable, len(result), 0)
-            return result
+        result = sorted(found)
         if observer is not None:
-            observer.frame(step.variable, len(pool), 0)
-        return pool
+            observer.frame(step, len(result), len(checks))
+        return result
+    pool = pools_sorted[step.idx]
+    if step.self_loops:
+        loops = step.self_loops
+        pool = [
+            image
+            for image in pool
+            if all(image in row_set(True, wire, image) for wire in loops)
+        ]
+    if observer is not None:
+        observer.frame(step, len(pool), 0)
+    return pool
 
-    stack = [iter(candidates_at(0))]
-    while stack:
-        depth = len(stack) - 1
-        frame = stack[-1]
-        if depth == last:
-            for image in frame:
-                assign[depth] = image
-                emitted += 1
-                yield {order[d]: to_id(assign[d]) for d in range(k)}
-                if limit is not None and emitted >= limit:
-                    return
-            stack.pop()
-        else:
-            descended = False
-            for image in frame:
-                assign[depth] = image
-                below = candidates_at(depth + 1)
+
+def _retire(program: FrameProgram, leaf_id: int, active):
+    """Drop one finished leaf from the per-step live-leaf counts (built
+    on the first call — runs that never finish a leaf early never pay
+    for them)."""
+    if active is None:
+        active = [len(step.leaf_ids) for step in program.nodes]
+    for idx in program.leaf_paths[leaf_id]:
+        active[idx] -= 1
+    return active
+
+
+def _walk(program, pools_sorted, pools_set, row_set, to_id, limits, observer=None):
+    """Enumerate ``(leaf_id, match)`` pairs down a frame program.
+
+    An explicit stack of ``[step, images, image_pos, child_pos]``
+    frames: binding an image at a step emits a match for every leaf
+    completing there, then expands the step's children in order
+    (``child_pos == len(children)`` requests the next image).  Each
+    frame is computed once by :func:`_frame`, however many leaves share
+    it.  Every leaf's subsequence is the seed matcher's exact stream
+    for its binding order: ascending lexicographic order of the images.
+
+    ``limits[leaf_id]`` caps one leaf's stream (``None``: unbounded).
+    It is checked after each of the leaf's matches and after each
+    fruitless descent into an empty frame on its path — the seed
+    recursed into that frame, returned, and *then* checked its limit,
+    which matters for a degenerate ``limit <= 0`` (the leaf stops there,
+    before any match).  The walk ends when every leaf has finished.
+    """
+    remaining = len(program.live)
+    assign = [0] * program.width
+    emitted = [0] * len(limits)
+    done = [False] * len(limits)
+    active = None  # live leaves per step; built when a leaf finishes early
+    for root in program.roots:
+        if active is not None and not active[root.idx]:
+            continue
+        images = _frame(root, pools_sorted, pools_set, row_set, assign, observer)
+        if not images:
+            # An empty root frame: the seed returned without a limit
+            # check, so no leaf finishes here.
+            continue
+        stack = [[root, images, 0, len(root.children)]]
+        while stack:
+            frame = stack[-1]
+            step = frame[0]
+            children = step.children
+            child_pos = frame[3]
+            if child_pos < len(children):
+                frame[3] = child_pos + 1
+                child = children[child_pos]
+                if active is not None and not active[child.idx]:
+                    continue
+                below = _frame(child, pools_sorted, pools_set, row_set, assign, observer)
                 if below:
-                    stack.append(iter(below))
-                    descended = True
-                    break
-                # Fruitless descent: the seed recursed into an empty
-                # frame, returned, and *then* checked the limit — which
-                # matters for the degenerate limit<=0 case (0 >= limit
-                # stops the whole enumeration there, before any yield).
-                if limit is not None and emitted >= limit:
-                    return
-            if not descended:
+                    stack.append([child, below, 0, len(child.children)])
+                    continue
+                for leaf_id in child.leaf_ids:
+                    limit = limits[leaf_id]
+                    if limit is not None and not done[leaf_id] and emitted[leaf_id] >= limit:
+                        done[leaf_id] = True
+                        remaining -= 1
+                        if not remaining:
+                            return
+                        active = _retire(program, leaf_id, active)
+                continue
+            images = frame[1]
+            position = frame[2]
+            if position >= len(images) or (active is not None and not active[step.idx]):
                 stack.pop()
+                continue
+            frame[2] = position + 1
+            frame[3] = 0
+            assign[step.depth] = images[position]
+            for order, leaf_ids in step.completions.items():
+                match = None
+                for leaf_id in leaf_ids:
+                    if done[leaf_id]:
+                        continue
+                    if match is None:
+                        # zip stops at len(order): the depths bound so far.
+                        match = dict(zip(order, map(to_id, assign)))
+                    emitted[leaf_id] += 1
+                    yield leaf_id, match
+                    limit = limits[leaf_id]
+                    if limit is not None and emitted[leaf_id] >= limit:
+                        done[leaf_id] = True
+                        remaining -= 1
+                        if not remaining:
+                            return
+                        active = _retire(program, leaf_id, active)
 
 
 # ----------------------------------------------------------------------
@@ -313,9 +417,10 @@ class MatchPlan:
         "pools_sorted",
         "pools_set",
         "order",
-        "steps",
+        "program",
         "profile",
         "observed",
+        "_run",
     )
 
     def __init__(
@@ -337,7 +442,13 @@ class MatchPlan:
             self.pools_set[variable] = frozenset(slots)
         sizes = {v: len(self.pools_sorted[v]) for v in pattern.variables}
         self.order: tuple[str, ...] = tuple(order_for_sizes(pattern, sizes))
-        self.steps: tuple[PlanStep, ...] = _steps_for(pattern, self.order)
+        self.program: FrameProgram = _steps_for(pattern, self.order)
+        self._run = (
+            self.order,
+            self.program,
+            [self.pools_sorted[v] for v in self.order],
+            [self.pools_set[v] for v in self.order],
+        )
         self.profile = profile
         #: Observed execution totals per variable — ``[frames,
         #: candidates, probes]`` — accumulated across telemetry-enabled
@@ -349,15 +460,16 @@ class MatchPlan:
         self,
         fixed: Mapping[str, str] | None = None,
         restrict: Mapping[str, "set[str] | frozenset[str]"] | None = None,
-    ) -> "tuple[tuple[str, ...], tuple[PlanStep, ...], dict, dict] | None":
+    ) -> "tuple[tuple[str, ...], FrameProgram, list, list] | None":
         """The effective execution state for one run.
 
-        Applies ``fixed`` / ``restrict`` exactly as :meth:`matches`
-        (slot translation, re-ranking from effective pool sizes) and
-        returns ``(order, steps, pools_sorted, pools_set)`` — or
-        ``None`` when a pinned image cannot host its variable, i.e. the
-        stream is empty.  Shared by :meth:`matches` and the Σ-DAG
-        executor so both run from byte-identical state.
+        Applies ``fixed`` / ``restrict`` (slot translation, re-ranking
+        from effective pool sizes) and returns ``(order, chain,
+        pools_sorted, pools_set)`` — the binding order, its one-leaf
+        chain, and the pools as lists indexed by step — or ``None`` when
+        a pinned image cannot host its variable, i.e. the stream is
+        empty.  :meth:`matches` walks the chain; the Σ-DAG merges the
+        chains of many runs into its trie.
         """
         pattern = self.pattern
         view = self.view
@@ -371,7 +483,7 @@ class MatchPlan:
                     raise PatternError(f"fixed image {node_id!r} is not a node of the graph")
                 fixed_slots[variable] = slot
         if not fixed_slots and not restrict:
-            return self.order, self.steps, self.pools_sorted, self.pools_set
+            return self._run
         pools_set = dict(self.pools_set)
         if restrict:
             slot_of, node_of = view.slot_of, view.node_of
@@ -397,14 +509,13 @@ class MatchPlan:
             pools_set[variable] = frozenset((slot,))
         sizes = {v: len(pools_set[v]) for v in pattern.variables}
         order = tuple(order_for_sizes(pattern, sizes))
-        steps = _steps_for(pattern, order)
-        pools_sorted = {
-            v: self.pools_sorted[v]
+        pools_sorted = [
+            self.pools_sorted[v]
             if pools_set[v] is self.pools_set[v]
             else tuple(sorted(pools_set[v]))
-            for v in pattern.variables
-        }
-        return order, steps, pools_sorted, pools_set
+            for v in order
+        ]
+        return order, _steps_for(pattern, order), pools_sorted, [pools_set[v] for v in order]
 
     def matches(
         self,
@@ -414,46 +525,35 @@ class MatchPlan:
     ) -> Iterator[Match]:
         """Enumerate matches; same contract and stream as the seed
         matcher's ``fixed`` / ``restrict`` / ``limit`` parameters."""
-        view = self.view
         prepared = self.prepare(fixed, restrict)
         if prepared is None:
             return
-        order, steps, pools_sorted, pools_set = prepared
-        sink = _metrics.sink()
-        if not sink.enabled:
-            yield from _execute(
-                order,
-                steps,
-                pools_sorted,
-                pools_set,
-                view.row_set,
-                view.node_of.__getitem__,
-                limit,
-            )
-            return
-        observer = _ExecObserver(self.observed)
+        _, chain, pools_sorted, pools_set = prepared
+        view = self.view
+        observer = _Observer(self.observed) if _metrics.sink().enabled else None
         try:
-            yield from _execute(
-                order,
-                steps,
+            for _, match in _walk(
+                chain,
                 pools_sorted,
                 pools_set,
                 view.row_set,
                 view.node_of.__getitem__,
-                limit,
+                [limit],
                 observer,
-            )
+            ):
+                yield match
         finally:
-            observer.flush(_metrics.sink())
+            if observer is not None:
+                observer.flush(_metrics.sink())
 
     # ------------------------------------------------------------------
     def step_cost(self, depth: int) -> float:
         """Estimated candidates examined at one step (explain output)."""
-        step = self.steps[depth]
+        step = self.program.nodes[depth]
         pool = len(self.pools_sorted[step.variable])
         if not step.checks:
             return float(pool)
-        fanouts = (self.profile.fanout(check.label) for check in step.checks)
+        fanouts = (self.profile.fanout(label) for _, label, _ in step.checks)
         return min([float(pool)] + [f for f in fanouts if f is not None])
 
     def explain(self, observed: bool = False) -> str:
@@ -472,7 +572,8 @@ class MatchPlan:
             f"view: {view.num_nodes} node(s), {view.num_edges} edge(s), "
             f"{'indexed' if self.indexed else 'unindexed'} pools"
         ]
-        for depth, step in enumerate(self.steps):
+        order = self.order
+        for depth, step in enumerate(self.program.nodes):
             pool = len(self.pools_sorted[step.variable])
             label = self.pattern.label_of(step.variable)
             head = (
@@ -482,11 +583,11 @@ class MatchPlan:
             if step.checks:
                 probes = ", ".join(
                     (
-                        f"{step.variable} -[{check.label or '_'}]-> {check.via}"
-                        if not check.out_dir
-                        else f"{check.via} -[{check.label or '_'}]-> {step.variable}"
+                        f"{order[at]} -[{label or '_'}]-> {step.variable}"
+                        if out_dir
+                        else f"{step.variable} -[{label or '_'}]-> {order[at]}"
                     )
-                    for check in step.checks
+                    for out_dir, label, at in step.checks
                 )
                 head += f" ∩ {{{probes}}}"
             if step.self_loops:
@@ -591,7 +692,7 @@ def _adjacency_rows(graph: Graph):
 
     Labeled rows are the internal per-label sets (no copies); wildcard
     rows are unions built lazily and cached for the duration of one
-    executor run.
+    walk.
     """
     any_out: dict[str, set[str]] = {}
     any_in: dict[str, set[str]] = {}
@@ -617,13 +718,14 @@ def execute_over_pools(
     restrict: Mapping[str, "set[str] | frozenset[str]"] | None = None,
     limit: int | None = None,
 ) -> Iterator[Match]:
-    """Run the plan executor over caller-supplied candidate pools.
+    """Walk a pattern's chain over caller-supplied candidate pools.
 
-    This is the view-free path: no interning, no O(|G|) build — the
-    pattern program comes from the shared :func:`_steps_for` cache and
-    adjacency rows from the graph's own indexes.  The streaming delta
-    kernel uses it with pattern-radius ball pools so per-batch work
-    stays proportional to the update's neighborhood.
+    The same walker as :meth:`MatchPlan.matches` with a different row
+    provider: no interning, no O(|G|) view build — the chain comes from
+    the shared :func:`_steps_for` cache and adjacency rows from the
+    graph's own indexes.  The streaming delta kernel uses it with
+    pattern-radius ball pools so per-batch work stays proportional to
+    the update's neighborhood.
     """
     fixed = dict(fixed) if fixed else {}
     for variable, node_id in fixed.items():
@@ -645,28 +747,22 @@ def execute_over_pools(
         pools[variable] = {node_id}
     sizes = {variable: len(pool) for variable, pool in pools.items()}
     order = tuple(order_for_sizes(pattern, sizes))
-    steps = _steps_for(pattern, order)
-    pools_sorted = {variable: tuple(sorted(pool)) for variable, pool in pools.items()}
-    sink = _metrics.sink()
-    if not sink.enabled:
-        yield from _execute(
-            order, steps, pools_sorted, pools, _adjacency_rows(graph), _identity, limit
-        )
-        return
-    observer = _ExecObserver()
+    pools_set = [pools[variable] for variable in order]
+    observer = _Observer() if _metrics.sink().enabled else None
     try:
-        yield from _execute(
-            order,
-            steps,
-            pools_sorted,
-            pools,
+        for _, match in _walk(
+            _steps_for(pattern, order),
+            [sorted(pool) for pool in pools_set],
+            pools_set,
             _adjacency_rows(graph),
             _identity,
-            limit,
+            [limit],
             observer,
-        )
+        ):
+            yield match
     finally:
-        observer.flush(_metrics.sink())
+        if observer is not None:
+            observer.flush(_metrics.sink())
 
 
 def program_cache_info():
@@ -675,7 +771,7 @@ def program_cache_info():
 
 
 __all__ = [
-    "EdgeCheck",
+    "FrameProgram",
     "Match",
     "MatchPlan",
     "PlanStep",

@@ -24,11 +24,11 @@ compiled plans of a pattern set into one **shared plan DAG**:
   a solo run, so a restricted rule simply diverges from the shared
   spine at the first depth where its pools differ — sharing happens
   precisely where it is sound, never where it is not;
-* the **executor** walks the DAG with the same explicit-stack,
-  smallest-operand-first intersection machinery as
-  :func:`~repro.matching.plan._execute`, expanding every shared frame
-  once and emitting each leaf's match stream **byte-identical** to the
-  leaf's standalone ``MatchPlan.matches`` run (the differential suite
+* the trie runs through the plan walker
+  (:func:`~repro.matching.plan._walk`) — the one that runs every solo
+  plan as a one-leaf chain — expanding every shared frame once and
+  emitting each leaf's match stream **byte-identical** to the leaf's
+  standalone ``MatchPlan.matches`` run (the differential suite
   ``tests/matching/test_sigma_dag.py`` asserts this across backends,
   ±index, under ``fixed`` / ``restrict`` / ``limit``).
 
@@ -56,12 +56,19 @@ from dataclasses import dataclass
 from repro.errors import PatternError
 from repro.graph.graph import Graph
 from repro.indexing.registry import get_index
-from repro.matching.plan import Match, MatchPlan, compile_plan
+from repro.matching.plan import (
+    FrameProgram,
+    Match,
+    MatchPlan,
+    PlanStep,
+    _frame,
+    _Observer,
+    _walk,
+    compile_plan,
+)
 from repro.matching.view import GraphView, get_view
 from repro.patterns.pattern import Pattern
 from repro.telemetry import metrics as _metrics
-
-_EMPTY: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -79,177 +86,79 @@ class SigmaQuery:
     limit: int | None = None
 
 
-class _Node:
-    """One shared trie node: a (pool, checks, self-loops) step merged
-    across every rule whose prepared prefix reaches it."""
+class _Trie(FrameProgram):
+    """One built trie: shared steps plus per-leaf spine paths, and the
+    pools of every step (by ``idx``) fixed at build time."""
 
-    __slots__ = (
-        "idx",
-        "depth",
-        "variable",
-        "pool_sorted",
-        "pool_set",
-        "checks",
-        "self_loops",
-        "children",
-        "child_index",
-        "completions",
-        "leaf_ids",
-    )
+    __slots__ = ("pools_sorted", "pools_set")
 
-    def __init__(self, idx, depth, variable, pool_sorted, pool_set, checks, loops):
-        self.idx = idx
-        self.depth = depth
-        self.variable = variable  # representative name (first merged rule)
-        self.pool_sorted = pool_sorted
-        self.pool_set = pool_set
-        self.checks = checks  # canonical ((out_dir, label, depth), ...)
-        self.self_loops = loops
-        self.children: list[_Node] = []
-        self.child_index: dict = {}
-        #: binding order -> leaf ids completing here (insertion-ordered).
-        self.completions: dict[tuple[str, ...], list[int]] = {}
-        #: every leaf whose spine passes through (or ends at) this node.
-        self.leaf_ids: list[int] = []
+    def __init__(self, roots, nodes, leaf_paths, live, width, pools_sorted, pools_set):
+        super().__init__(roots, nodes, leaf_paths, live, width)
+        self.pools_sorted = pools_sorted
+        self.pools_set = pools_set
 
 
-class _Trie:
-    """One built trie: shared nodes plus per-leaf spine paths."""
-
-    __slots__ = ("roots", "nodes", "leaf_paths", "live")
-
-    def __init__(self, roots, nodes, leaf_paths, live):
-        self.roots = roots
-        self.nodes = nodes
-        self.leaf_paths = leaf_paths
-        self.live = live  # leaf ids actually inserted (prepare() non-None)
-
-
-def _canon_checks(checks) -> tuple:
-    """Edge checks in canonical order (set semantics: the executor
-    intersects all rows, so reordering cannot change the stream)."""
-    keyed = sorted(
-        (check.out_dir, check.label is None, check.label or "", check.depth)
-        for check in checks
-    )
-    return tuple(
-        (out_dir, None if is_none else label, depth)
-        for out_dir, is_none, label, depth in keyed
-    )
-
-
-def _canon_loops(loops) -> tuple:
-    return tuple(sorted(loops, key=lambda wire: (wire is None, wire or "")))
+def _canon(items) -> tuple:
+    """Checks or self-loop labels in a canonical order (set semantics:
+    the walker intersects all rows, so reordering cannot change the
+    stream).  ``repr`` orders ``None`` (the wildcard) and labels alike."""
+    return tuple(sorted(items, key=repr))
 
 
 def _build_trie(prepared: "Sequence[tuple | None]") -> _Trie:
-    """Merge prepared per-rule prefixes into a trie of shared nodes.
+    """Merge prepared per-rule chains into a trie of shared steps.
 
     ``prepared[i]`` is leaf *i*'s ``MatchPlan.prepare`` result (or
     ``None`` for a statically-empty stream, which is simply left out).
+    Two steps merge iff their pool, their canonical checks and their
+    canonical self-loops are equal; a merged step keeps the first
+    rule's check order.
     """
-    roots: list[_Node] = []
+    roots: list[PlanStep] = []
     root_index: dict = {}
-    nodes: list[_Node] = []
+    nodes: list[PlanStep] = []
+    child_index: list[dict] = []
+    pools_sorted: list = []
+    pools_set: list = []
     leaf_paths: list[tuple[int, ...]] = []
     live: list[int] = []
     for leaf_id, prep in enumerate(prepared):
         if prep is None:
             leaf_paths.append(())
             continue
-        order, steps, pools_sorted, pools_set = prep
+        order, chain, run_sorted, run_set = prep
         level_index, level_list = root_index, roots
         node = None
         path: list[int] = []
-        for depth, step in enumerate(steps):
-            variable = step.variable
-            key = (
-                pools_set[variable],
-                _canon_checks(step.checks),
-                _canon_loops(step.self_loops),
-            )
+        for step in chain.nodes:
+            pool = run_set[step.idx]
+            key = (pool, _canon(step.checks), _canon(step.self_loops))
             node = level_index.get(key)
             if node is None:
-                node = _Node(
-                    len(nodes),
-                    depth,
-                    variable,
-                    tuple(pools_sorted[variable]),
-                    key[0],
-                    key[1],
-                    key[2],
+                node = PlanStep(
+                    len(nodes), step.depth, step.variable, step.checks, step.self_loops
                 )
                 nodes.append(node)
+                child_index.append({})
+                pools_sorted.append(run_sorted[step.idx])
+                pools_set.append(pool)
                 level_index[key] = node
                 level_list.append(node)
             node.leaf_ids.append(leaf_id)
             path.append(node.idx)
-            level_index, level_list = node.child_index, node.children
-        bucket = node.completions.get(order)
-        if bucket is None:
-            node.completions[order] = [leaf_id]
-        else:
-            bucket.append(leaf_id)
+            level_index, level_list = child_index[node.idx], node.children
+        node.completions.setdefault(order, []).append(leaf_id)
         leaf_paths.append(tuple(path))
         live.append(leaf_id)
-    return _Trie(roots, nodes, leaf_paths, live)
-
-
-class _SigmaObserver:
-    """Per-run DAG execution accounting (created only when telemetry is
-    on, same zero-overhead discipline as the plan executor's observer).
-
-    ``frames saved`` counts, for every expanded shared frame, the
-    rules that did *not* have to expand it themselves: a frame at a
-    node merged across *m* rules stands in for ``m`` per-rule frames
-    but was expanded once, saving ``m - 1``.
-    """
-
-    __slots__ = ("frames", "produced", "probes", "saved", "per_node")
-
-    def __init__(self):
-        self.frames = 0
-        self.produced = 0
-        self.probes = 0
-        self.saved = 0
-        self.per_node: dict[int, list[int]] = {}
-
-    def frame(self, node: _Node, produced: int, probes: int) -> None:
-        self.frames += 1
-        self.produced += produced
-        self.probes += probes
-        self.saved += len(node.leaf_ids) - 1
-        entry = self.per_node.get(node.idx)
-        if entry is None:
-            self.per_node[node.idx] = [1, produced, probes]
-        else:
-            entry[0] += 1
-            entry[1] += produced
-            entry[2] += probes
-
-    def flush(self, sink, target: "dict[int, list[int]] | None") -> None:
-        if not self.frames:
-            return
-        sink.incr("matching.sigma.frames_expanded", self.frames)
-        sink.incr("matching.sigma.frames_saved", self.saved)
-        sink.incr("matching.sigma.candidates_produced", self.produced)
-        sink.incr("matching.sigma.intersections", self.probes)
-        if target is not None:
-            for idx, entry in self.per_node.items():
-                totals = target.get(idx)
-                if totals is None:
-                    target[idx] = list(entry)
-                else:
-                    totals[0] += entry[0]
-                    totals[1] += entry[1]
-                    totals[2] += entry[2]
+    width = max((node.depth for node in nodes), default=-1) + 1
+    return _Trie(roots, nodes, leaf_paths, live, width, pools_sorted, pools_set)
 
 
 class SigmaDag:
     """A pattern set compiled against one graph view as a shared trie.
 
     Build via :func:`compile_sigma` (cached on the view).  ``patterns``
-    is the deduplicated tuple; every executor entry point addresses
+    is the deduplicated tuple; every walk entry point addresses
     rules by *query* (:class:`SigmaQuery`) or, for the common
     whole-set case, by pattern position.
     """
@@ -335,17 +244,23 @@ class SigmaDag:
         sink.incr("matching.sigma.executions")
         sink.incr("matching.sigma.leaves", len(trie.live))
         sink.incr("matching.sigma.spines", len(trie.roots))
-        if not sink.enabled:
-            yield from self._walk(trie, limits, None)
-            return
-        observer = _SigmaObserver()
+        observer = None
+        if sink.enabled:
+            target = self.observed if trie is self._default else None
+            observer = _Observer(target, sigma=True)
         try:
-            yield from self._walk(trie, limits, observer)
-        finally:
-            observer.flush(
-                _metrics.sink(),
-                self.observed if trie is self._default else None,
+            yield from _walk(
+                trie,
+                trie.pools_sorted,
+                trie.pools_set,
+                self.view.row_set,
+                self.view.node_of.__getitem__,
+                limits,
+                observer,
             )
+        finally:
+            if observer is not None:
+                observer.flush(_metrics.sink())
 
     def execute(self, queries=None) -> list[list[Match]]:
         """All match streams, one list per query (whole set by default)."""
@@ -354,134 +269,6 @@ class SigmaDag:
         for index, match in self.iter_matches(queries):
             streams[index].append(match)
         return streams
-
-    # ------------------------------------------------------------------
-    def _walk(self, trie: _Trie, limits, observer) -> Iterator[tuple[int, Match]]:
-        """The shared-frame enumerator (explicit stack, smallest operand
-        first — the plan executor's machinery, one frame per *node*
-        instead of one per rule)."""
-        view = self.view
-        row_set = view.row_set
-        to_id = view.node_of.__getitem__
-        leaf_paths = trie.leaf_paths
-        num_leaves = len(leaf_paths)
-        emitted = [0] * num_leaves
-        done = [False] * num_leaves
-        active = [len(node.leaf_ids) for node in trie.nodes]
-        remaining = len(trie.live)
-        if not remaining:
-            return
-        max_depth = max(node.depth for node in trie.nodes) + 1
-        assign = [0] * max_depth
-
-        def finish(leaf_id: int) -> int:
-            done[leaf_id] = True
-            for idx in leaf_paths[leaf_id]:
-                active[idx] -= 1
-            return remaining - 1
-
-        def compute(node: _Node):
-            checks = node.checks
-            if checks:
-                operands = [node.pool_set]
-                for out_dir, label, depth in checks:
-                    row = row_set(out_dir, label, assign[depth])
-                    if not row:
-                        if observer is not None:
-                            observer.frame(node, 0, len(operands))
-                        return _EMPTY
-                    operands.append(row)
-                operands.sort(key=len)
-                found = operands[0].intersection(*operands[1:])
-                if node.self_loops:
-                    loops = node.self_loops
-                    found = [
-                        image
-                        for image in found
-                        if all(image in row_set(True, wire, image) for wire in loops)
-                    ]
-                result = sorted(found)
-                if observer is not None:
-                    observer.frame(node, len(result), len(checks))
-                return result
-            pool = node.pool_sorted
-            if node.self_loops:
-                loops = node.self_loops
-                result = [
-                    image
-                    for image in pool
-                    if all(image in row_set(True, wire, image) for wire in loops)
-                ]
-                if observer is not None:
-                    observer.frame(node, len(result), 0)
-                return result
-            if observer is not None:
-                observer.frame(node, len(pool), 0)
-            return pool
-
-        for root in trie.roots:
-            if remaining == 0:
-                return
-            if active[root.idx] == 0:
-                continue
-            images = compute(root)
-            if not images:
-                # Root-level empty computation: the solo executor ends
-                # without a limit check, so no finish-marking here.
-                continue
-            # Frame: [node, images, image_pos, child_pos]; child_pos ==
-            # len(children) requests binding of the next image.
-            stack = [[root, images, 0, len(root.children)]]
-            while stack:
-                frame = stack[-1]
-                node = frame[0]
-                children = node.children
-                child_pos = frame[3]
-                if child_pos < len(children):
-                    frame[3] = child_pos + 1
-                    child = children[child_pos]
-                    if active[child.idx] == 0:
-                        continue
-                    below = compute(child)
-                    if below:
-                        stack.append([child, below, 0, len(child.children)])
-                        continue
-                    # Fruitless descent: the solo executor recursed into
-                    # an empty frame, returned, and *then* checked the
-                    # limit — reproduce that for every rule whose spine
-                    # runs through the empty child (degenerate limit<=0
-                    # stops such a rule here, before any yield).
-                    for leaf_id in child.leaf_ids:
-                        if not done[leaf_id]:
-                            lim = limits[leaf_id]
-                            if lim is not None and emitted[leaf_id] >= lim:
-                                remaining = finish(leaf_id)
-                    if remaining == 0:
-                        return
-                    continue
-                images_here = frame[1]
-                if frame[2] >= len(images_here) or active[node.idx] == 0:
-                    stack.pop()
-                    continue
-                image = images_here[frame[2]]
-                frame[2] += 1
-                frame[3] = 0
-                assign[node.depth] = image
-                bound = node.depth + 1
-                for order, leaf_ids in node.completions.items():
-                    match = None
-                    for leaf_id in leaf_ids:
-                        if done[leaf_id]:
-                            continue
-                        if match is None:
-                            match = {order[d]: to_id(assign[d]) for d in range(bound)}
-                        emitted[leaf_id] += 1
-                        yield leaf_id, match
-                        lim = limits[leaf_id]
-                        if lim is not None and emitted[leaf_id] >= lim:
-                            remaining = finish(leaf_id)
-                if remaining == 0:
-                    return
 
     # ------------------------------------------------------------------
     def counts(self) -> list[int]:
@@ -499,105 +286,64 @@ class SigmaDag:
         sink.incr("matching.sigma.executions")
         sink.incr("matching.sigma.leaves", len(trie.live))
         sink.incr("matching.sigma.spines", len(trie.roots))
-        observer = _SigmaObserver() if sink.enabled else None
-        try:
-            self._count_into(trie, result, observer)
-        finally:
-            if observer is not None:
-                observer.flush(_metrics.sink(), self.observed)
-        return result
+        observer = _Observer(self.observed, sigma=True) if sink.enabled else None
+        pools_sorted, pools_set = trie.pools_sorted, trie.pools_set
+        row_set = self.view.row_set
+        assign = [0] * trie.width
 
-    def _count_into(self, trie: _Trie, result: list[int], observer) -> None:
-        view = self.view
-        row_set = view.row_set
-        max_depth = max((node.depth for node in trie.nodes), default=0) + 1
-        assign = [0] * max_depth
-
-        def compute(node: _Node):
-            checks = node.checks
-            if checks:
-                operands = [node.pool_set]
-                for out_dir, label, depth in checks:
-                    row = row_set(out_dir, label, assign[depth])
-                    if not row:
-                        if observer is not None:
-                            observer.frame(node, 0, len(operands))
-                        return _EMPTY
-                    operands.append(row)
-                operands.sort(key=len)
-                found = operands[0].intersection(*operands[1:])
-                if node.self_loops:
-                    loops = node.self_loops
-                    found = [
-                        image
-                        for image in found
-                        if all(image in row_set(True, wire, image) for wire in loops)
-                    ]
-                result_list = sorted(found)
-                if observer is not None:
-                    observer.frame(node, len(result_list), len(checks))
-                return result_list
-            pool = node.pool_sorted
-            if node.self_loops:
-                loops = node.self_loops
-                result_list = [
-                    image
-                    for image in pool
-                    if all(image in row_set(True, wire, image) for wire in loops)
-                ]
-                if observer is not None:
-                    observer.frame(node, len(result_list), 0)
-                return result_list
-            if observer is not None:
-                observer.frame(node, len(pool), 0)
-            return pool
-
-        def tally(node: _Node, count: int) -> None:
-            for leaf_ids in node.completions.values():
+        def tally(step: PlanStep, count: int) -> None:
+            for leaf_ids in step.completions.values():
                 for leaf_id in leaf_ids:
                     result[leaf_id] += count
 
-        for root in trie.roots:
-            images = compute(root)
-            if not images:
-                continue
-            if not root.children:
-                tally(root, len(images))
-                continue
-            stack = [[root, images, 0, len(root.children)]]
-            while stack:
-                frame = stack[-1]
-                node = frame[0]
-                children = node.children
-                child_pos = frame[3]
-                if child_pos < len(children):
-                    frame[3] = child_pos + 1
-                    child = children[child_pos]
-                    below = compute(child)
-                    if not below:
+        try:
+            for root in trie.roots:
+                images = _frame(root, pools_sorted, pools_set, row_set, assign, observer)
+                if not images:
+                    continue
+                if not root.children:
+                    tally(root, len(images))
+                    continue
+                stack = [[root, images, 0, len(root.children)]]
+                while stack:
+                    frame = stack[-1]
+                    step = frame[0]
+                    children = step.children
+                    child_pos = frame[3]
+                    if child_pos < len(children):
+                        frame[3] = child_pos + 1
+                        child = children[child_pos]
+                        below = _frame(
+                            child, pools_sorted, pools_set, row_set, assign, observer
+                        )
+                        if not below:
+                            continue
+                        if child.children:
+                            stack.append([child, below, 0, len(child.children)])
+                        else:
+                            # Leaf level: every rule reaching this step
+                            # completes here — count without iterating.
+                            tally(child, len(below))
                         continue
-                    if child.children:
-                        stack.append([child, below, 0, len(child.children)])
-                    else:
-                        # Leaf level: every rule reaching this node
-                        # completes here — count without iterating.
-                        tally(child, len(below))
-                    continue
-                if frame[2] >= len(frame[1]):
-                    stack.pop()
-                    continue
-                assign[node.depth] = frame[1][frame[2]]
-                frame[2] += 1
-                frame[3] = 0
-                if node.completions:
-                    tally(node, 1)
+                    if frame[2] >= len(frame[1]):
+                        stack.pop()
+                        continue
+                    assign[step.depth] = frame[1][frame[2]]
+                    frame[2] += 1
+                    frame[3] = 0
+                    if step.completions:
+                        tally(step, 1)
+        finally:
+            if observer is not None:
+                observer.flush(_metrics.sink())
+        return result
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
         """Static shape of the whole-set trie (tests / explain / CLI)."""
         trie = self._default_trie()
         per_rule_steps = sum(
-            len(self.plans[leaf_id].steps) for leaf_id in trie.live
+            len(self.plans[leaf_id].program.nodes) for leaf_id in trie.live
         )
         shared = sum(1 for node in trie.nodes if len(node.leaf_ids) > 1)
         return {
@@ -634,11 +380,10 @@ class SigmaDag:
             f"{shape['shared_nodes']} shared node(s)",
         ]
 
-        def render(node: _Node, indent: str) -> None:
-            kind = "extend" if node.checks else "scan"
+        def render(node: PlanStep, indent: str) -> None:
             head = (
-                f"{indent}{kind} {node.variable} — pool "
-                f"{len(node.pool_sorted)} candidate(s)"
+                f"{indent}{node.kind} {node.variable} — pool "
+                f"{len(trie.pools_sorted[node.idx])} candidate(s)"
             )
             if node.checks:
                 head += f" ∩ {len(node.checks)} row check(s)"

@@ -36,13 +36,12 @@ to the update's neighborhood.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from repro.deps.ged import GED
 from repro.graph.graph import Graph
 from repro.graph.update import GraphUpdate
 from repro.matching.homomorphism import find_homomorphisms
-from repro.reasoning.validation import Violation, evaluate_match, literal_holds
+from repro.reasoning.validation import Violation, evaluate_match
 
 
 def apply_update(graph: Graph, update: GraphUpdate) -> Graph:
@@ -105,63 +104,3 @@ def incremental_violations(
                         if limit is not None and len(violations) >= limit:
                             return violations
     return violations
-
-
-@dataclass
-class IncrementalLedger:
-    """Tracks known violations across updates (the one-shot helper).
-
-    ``refresh`` ingests newly detected violations and reports which are
-    genuinely new; violations whose matches disappeared (e.g. an
-    attribute overwrite fixed them) are retired lazily by re-checking
-    their matches.  For the maintained, exact-delta service — retired
-    and updated sets per batch, engine-pooled delta path, byte-identity
-    with full revalidation — use
-    :class:`repro.streaming.ViolationLedger` instead; this class keeps
-    the simpler additive-era contract for callers that only need
-    "what's new since my last refresh".
-    """
-
-    graph: Graph
-    sigma: list[GED]
-    known: set[Violation] = field(default_factory=set)
-
-    def bootstrap(self) -> list[Violation]:
-        from repro.reasoning.validation import find_violations
-
-        initial = find_violations(self.graph, self.sigma)
-        self.known = set(initial)
-        return initial
-
-    def refresh(self, update: GraphUpdate) -> list[Violation]:
-        """Apply an update; return violations new since the last call."""
-        apply_update(self.graph, update)
-        self._retire_stale()
-        fresh = incremental_violations(self.graph, self.sigma, update)
-        new = [v for v in fresh if v not in self.known]
-        self.known.update(new)
-        return new
-
-    def _retire_stale(self) -> None:
-        still_valid: set[Violation] = set()
-        for violation in self.known:
-            match = violation.assignment
-            if not all(self.graph.has_node(n) for n in match.values()):
-                continue
-            x_holds = all(literal_holds(self.graph, l, match) for l in violation.ged.X)
-            failed = any(
-                not literal_holds(self.graph, l, match)
-                for l in violation.ged.Y
-            )
-            from repro.matching.homomorphism import is_homomorphism
-
-            if x_holds and failed and is_homomorphism(violation.ged.pattern, self.graph, match):
-                still_valid.add(violation)
-        self.known = still_valid
-
-
-#: Backwards-compatible alias — the class predates (and shares a name
-#: with) the streaming subsystem's exact-delta ledger; new code should
-#: say :class:`IncrementalLedger` or use
-#: :class:`repro.streaming.ViolationLedger`.
-ViolationLedger = IncrementalLedger

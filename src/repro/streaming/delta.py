@@ -35,13 +35,15 @@ key below is built from the literals), and only a variable with
 several literals pays an intersection, bounded by its smallest
 posting list.
 
-Each pin runs the plan executor **view-free** over its ball pools
-(:func:`~repro.matching.plan.execute_over_pools`): the compiled pattern
-program is cached per dependency (the ``_steps_for`` cache keyed by
-``(pattern, order)``, alongside the memoized :func:`pattern_distances`),
-so plan compilation is paid once per dependency, not once per pinned
-node or per batch — and, crucially, no O(|G|) graph-view build is paid
-on a graph that mutates every batch.
+Each pin walks the pattern's one-leaf chain — the same walker every
+plan and Σ-DAG runs through — over its ball pools, with adjacency rows
+taken from the graph itself
+(:func:`~repro.matching.plan.execute_over_pools`): the chain is cached
+per ``(pattern, order)`` (the ``_steps_for`` cache, alongside the
+memoized :func:`pattern_distances`), so plan compilation is paid once
+per dependency, not once per pinned node or per batch — and, crucially,
+no O(|G|) graph-view build is paid on a graph that mutates every
+batch.
 
 Σ-sharing rides the same observation as :mod:`repro.matching.sigma_dag`:
 rule sets are families of literal variants over few distinct skeletons,

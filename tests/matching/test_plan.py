@@ -16,7 +16,8 @@ from repro.engine.scheduler import plan_tasks
 from repro.graph import GraphBuilder
 from repro.indexing import attach_index, detach_index
 from repro.matching import compile_plan, find_homomorphisms, get_view
-from repro.matching.plan import program_cache_info
+from repro.matching.candidates import candidate_sets
+from repro.matching.plan import execute_over_pools, program_cache_info
 from repro.matching.view import build_view, peek_view
 from repro.patterns import WILDCARD, Pattern
 from repro.workloads import bounded_rule_set, validation_workload
@@ -177,6 +178,65 @@ class TestProgramCache:
         after = program_cache_info()
         assert after.misses == primed.misses  # second sweep compiled nothing new
         assert after.hits > primed.hits
+        # Repeated pins over one rule walk one cached chain: the first
+        # pin compiles it, every later pin is a cache hit.
+        pattern = sigma[0].pattern
+        variable = pattern.variables[0]
+        pools = candidate_sets(pattern, graph)
+        pins = sorted(pools[variable])[:8]
+        assert len(pins) > 1
+        list(execute_over_pools(pattern, graph, pools, fixed={variable: pins[0]}))
+        primed = program_cache_info()
+        for node_id in pins:
+            list(execute_over_pools(pattern, graph, pools, fixed={variable: node_id}))
+        after = program_cache_info()
+        assert after.misses == primed.misses
+        assert after.currsize == primed.currsize
+        assert after.hits == primed.hits + len(pins)
+
+
+class TestOneWalker:
+    """A solo plan is a one-leaf chain of the Σ trie: the same walker
+    expands the same frames, so observed totals agree step for step."""
+
+    @pytest.fixture(autouse=True)
+    def _telemetry_on(self):
+        from repro import telemetry
+
+        telemetry.disable()
+        telemetry.reset()
+        telemetry.enable()
+        yield
+        telemetry.disable()
+        telemetry.reset()
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_one_pattern_dag_observes_what_its_plan_observes(self, indexed):
+        import re
+
+        from repro.matching import compile_sigma
+
+        graph = validation_workload(120, rng=13)
+        if indexed:
+            attach_index(graph)
+        else:
+            detach_index(graph)
+        observed = re.compile(r"\[obs\. \d+ frame\(s\)[^\]]*\]")
+        for ged in bounded_rule_set():
+            plan = compile_plan(graph, ged.pattern)
+            dag = compile_sigma(graph, [ged.pattern])
+            solo = list(plan.matches())
+            assert dag.execute() == [solo]
+            assert dag.counts() == [len(solo)]
+            plan_obs = observed.findall(plan.explain(observed=True))
+            # execute + counts walked the chain twice; the plan once.
+            list(plan.matches())
+            twice = observed.findall(plan.explain(observed=True))
+            dag_obs = observed.findall(dag.explain(observed=True))
+            assert plan_obs and "not executed" not in plan_obs[0]
+            assert dag_obs == twice
+            assert len(plan_obs) == len(plan.order)
+        detach_index(graph)
 
 
 class TestDegreeAccessors:

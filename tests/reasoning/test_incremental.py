@@ -12,7 +12,6 @@ from repro.patterns import Pattern
 from repro.reasoning import find_violations
 from repro.reasoning.incremental import (
     GraphUpdate,
-    IncrementalLedger,
     apply_update,
     incremental_violations,
 )
@@ -118,32 +117,3 @@ class TestIncrementalViolations:
         for match in incremental:
             assert any(node in touched for _, node in match)
 
-
-class TestLedger:
-    def test_backwards_compatible_alias(self):
-        from repro.reasoning.incremental import ViolationLedger
-
-        assert ViolationLedger is IncrementalLedger
-
-    def test_ledger_lifecycle(self):
-        g = (
-            GraphBuilder()
-            .node("fin", "country")
-            .node("hel", "city", name="A")
-            .edge("fin", "capital", "hel")
-            .build()
-        )
-        ledger = IncrementalLedger(g, [paper.phi2()])
-        assert ledger.bootstrap() == []
-        # Break it.
-        new = ledger.refresh(
-            GraphUpdate(nodes=[("spb", "city", {"name": "B"})],
-                        edges=[("fin", "capital", "spb")])
-        )
-        assert new
-        # Refresh with a no-op update: nothing new.
-        assert ledger.refresh(GraphUpdate()) == []
-        # Fix it: renaming retires the stale violations.
-        fixed = ledger.refresh(GraphUpdate(attrs=[("spb", "name", "A")]))
-        assert fixed == []
-        assert ledger.known == set()

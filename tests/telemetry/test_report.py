@@ -65,6 +65,34 @@ class TestFormatText:
         assert "(none)" in text
 
 
+class TestFramesExpandedCountsEveryWalk:
+    def test_sigma_walk_frames_reach_the_total(self):
+        # A multi-rule serial scan runs as one Σ-DAG walk: its frames
+        # are plan frames too, so the report's total must include them.
+        from repro import telemetry
+        from repro.reasoning import find_violations
+        from repro.workloads import overlapping_rule_set, overlapping_workload
+
+        graph = overlapping_workload(150, rng=0)
+        sigma = overlapping_rule_set(4)
+        telemetry.disable()
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            find_violations(graph, sigma)
+            snapshot = telemetry.snapshot()
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        counters = snapshot["counters"]
+        sigma_frames = counters["matching.sigma.frames_expanded"]
+        assert sigma_frames > 0
+        assert counters["plan.frames_expanded"] == sigma_frames
+        assert snapshot["histograms"]["plan.frame_candidates"]["count"] == sigma_frames
+        assert derived_stats(snapshot)["frames_expanded"] == sigma_frames
+        assert f"frames expanded (total): {sigma_frames}\n" in format_text(snapshot)
+
+
 class TestPrometheus:
     def test_exposition_format(self):
         text = render_prometheus(_snapshot())
